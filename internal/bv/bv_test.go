@@ -373,3 +373,26 @@ func TestStringRendering(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 }
+
+// TestEvaluatorMatchesEval: the reusable Evaluator must agree with Eval
+// whether it walks an expression as a tree or falls back to its cache —
+// depth 7 puts many expressions past the tree budget, and DAG chains of
+// repeated doubling would be exponential as trees.
+func TestEvaluatorMatchesEval(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	var ev Evaluator
+	for i := 0; i < 400; i++ {
+		c := NewContext()
+		width := 1 + r.Intn(64)
+		e := randExpr(c, r, width, 1+r.Intn(7))
+		if i%10 == 0 {
+			for k := 0; k < 40; k++ {
+				e = c.Add(e, e)
+			}
+		}
+		env := map[string]uint64{"a": r.Uint64(), "b": r.Uint64()}
+		if got, want := ev.Eval(e, env), Eval(e, env); got != want {
+			t.Fatalf("width %d: Evaluator=%d Eval=%d for %s", width, got, want, e)
+		}
+	}
+}

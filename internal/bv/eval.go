@@ -7,22 +7,63 @@ package bv
 // Eval is the reference semantics: the simplifier, the bit-blaster and the
 // concrete interpreter are all property-tested against it.
 func Eval(e *Expr, env map[string]uint64) uint64 {
-	cache := make(map[*Expr]uint64)
-	return eval(e, env, cache)
+	w := walker{env: env, cache: make(map[*Expr]uint64)}
+	return w.eval(e)
 }
 
-func eval(e *Expr, env map[string]uint64, cache map[*Expr]uint64) uint64 {
-	if v, ok := cache[e]; ok {
+// Evaluator is Eval for callers that evaluate many small expressions in a
+// row: it walks small expressions as trees, without a node cache, and
+// reuses one cache across calls for the rest. The zero value is ready to
+// use; it is not safe for concurrent use.
+type Evaluator struct{ cache map[*Expr]uint64 }
+
+// treeBudget bounds the nodes a cacheless walk may visit. DAG sharing can
+// make a tree walk exponential, so a walk that exceeds it starts over
+// with the cache.
+const treeBudget = 64
+
+// Eval computes the same value as the package-level Eval.
+func (ev *Evaluator) Eval(e *Expr, env map[string]uint64) uint64 {
+	w := walker{env: env, budget: treeBudget}
+	if v := w.eval(e); w.budget >= 0 {
 		return v
 	}
-	v := evalRaw(e, env, cache)
-	v &= Mask(e.Width)
-	cache[e] = v
+	// Clearing costs the map's capacity, so a map that one large
+	// expression grew is dropped rather than cleared.
+	if ev.cache == nil || len(ev.cache) > 256 {
+		ev.cache = make(map[*Expr]uint64)
+	} else {
+		clear(ev.cache)
+	}
+	w = walker{env: env, cache: ev.cache}
+	return w.eval(e)
+}
+
+// walker evaluates one expression, memoizing nodes in cache or, when
+// cache is nil, walking it as a tree until budget runs out.
+type walker struct {
+	env    map[string]uint64
+	cache  map[*Expr]uint64
+	budget int
+}
+
+func (w *walker) eval(e *Expr) uint64 {
+	if w.cache != nil {
+		if v, ok := w.cache[e]; ok {
+			return v
+		}
+	} else if w.budget--; w.budget < 0 {
+		return 0 // the caller discards this walk
+	}
+	v := w.raw(e) & Mask(e.Width)
+	if w.cache != nil {
+		w.cache[e] = v
+	}
 	return v
 }
 
-func evalRaw(e *Expr, env map[string]uint64, cache map[*Expr]uint64) uint64 {
-	arg := func(i int) uint64 { return eval(e.Args[i], env, cache) }
+func (w *walker) raw(e *Expr) uint64 {
+	arg := func(i int) uint64 { return w.eval(e.Args[i]) }
 	b2u := func(b bool) uint64 {
 		if b {
 			return 1
@@ -33,7 +74,7 @@ func evalRaw(e *Expr, env map[string]uint64, cache map[*Expr]uint64) uint64 {
 	case OpConst:
 		return e.Val
 	case OpVar:
-		return env[e.Name] & Mask(e.Width)
+		return w.env[e.Name] & Mask(e.Width)
 	case OpNot:
 		return ^arg(0)
 	case OpAnd:

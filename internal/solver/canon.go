@@ -27,7 +27,7 @@ package solver
 // is what keeps models independent of solver internals.
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -118,15 +118,23 @@ func encodeLocal(e *bv.Expr, cache map[*bv.Expr]*localEnc) *localEnc {
 func canonicalize(live []*bv.Expr, cache map[*bv.Expr]*localEnc) *canonQuery {
 	encs := make([]*localEnc, len(live))
 	order := make([]int, len(live))
+	size, nvars := 0, 0
 	for i, e := range live {
 		encs[i] = encodeLocal(e, cache)
 		order[i] = i
+		size += len(encs[i].enc) + 4*len(encs[i].vars) + 3
+		nvars += len(encs[i].vars)
 	}
-	sort.SliceStable(order, func(a, b int) bool { return encs[order[a]].enc < encs[order[b]].enc })
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(encs[a].enc, encs[b].enc) })
 
-	cq := &canonQuery{conjs: make([]*bv.Expr, len(live))}
-	varNum := map[string]int{}
+	cq := &canonQuery{
+		conjs:    make([]*bv.Expr, len(live)),
+		varOrder: make([]string, 0, nvars),
+		widths:   make([]int, 0, nvars),
+	}
+	varNum := make(map[string]int, nvars)
 	var sb strings.Builder
+	sb.Grow(size)
 	for ci, oi := range order {
 		le := encs[oi]
 		cq.conjs[ci] = live[oi]

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Memo is a bounded LRU cache of canonical-query outcomes. Entries are
+// Memo is a bounded LRU cache of full-tier outcomes. Entries are
 // keyed by the canonical encoding (canon.go), so a hit transfers across
 // variable renamings and conjunct permutations. The cache is safe for
 // concurrent use: one Memo is shared per verification run across all
@@ -23,15 +23,14 @@ type memoPair struct {
 	e   *memoEntry
 }
 
-// memoEntry replays one Check outcome without re-solving. Entries are
+// memoEntry replays one full-tier outcome without re-solving. Entries are
 // immutable after insertion — they are shared between goroutines and
 // between the local and run-wide tiers.
 type memoEntry struct {
-	sat   bool
-	quick bool     // answered by a quick tier (replays as QuickSAT/QuickUNSAT)
-	model []uint64 // canonical model by canonical var index; nil when !sat
-	vars  int64    // fresh-blast CNF size for full queries, replayed so the
-	clauses int64  // comparable bitblast counters stay mode-independent
+	sat     bool
+	model   []uint64 // canonical model by canonical var index; nil when !sat
+	vars    int64    // fresh-blast CNF size, replayed so the comparable
+	clauses int64    // bitblast counters stay mode-independent
 }
 
 // Default capacities. The local tier keeps a Checker's recent working set;

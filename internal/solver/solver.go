@@ -3,17 +3,23 @@
 //
 //  1. constant inspection — a constraint already folded to false is UNSAT,
 //     and a set folded entirely to true is trivially SAT;
-//  2. a normalized memo (memo.go) — repeated query shapes, modulo variable
-//     naming and conjunct order, replay their verdict, witness and stats
-//     without any solving;
-//  3. assignment guessing — path conditions of P4 models are dominated by
+//  2. assignment guessing — path conditions of P4 models are dominated by
 //     equalities between fields and constants, so a model assembled from
 //     those equalities (all other variables zero) very often satisfies the
-//     whole set and avoids the SAT solver entirely; interval/exclusion
-//     probing additionally refutes sets whose per-variable facts already
-//     conflict;
+//     whole set and avoids the SAT solver entirely; the all-zero
+//     assignment is tried next, and interval/exclusion probing proposes a
+//     third witness or refutes sets whose per-variable facts conflict;
+//  3. a normalized memo (memo.go) in front of the full tier only —
+//     repeated query shapes, modulo variable naming and conjunct order,
+//     replay their verdict, witness and stats without bit-blasting;
 //  4. bit-blasting to CNF and CDCL search (internal/bitblast, internal/sat),
 //     accelerated by incremental sessions and portfolio racing (accel.go).
+//
+// The executor asks along execution paths (CheckPath, path.go): each path
+// condition extends its parent's by one conjunct, and the quick tiers
+// (1–2) carry their bindings, facts and witnesses down the fork so a
+// query does only the new conjunct's work. Check decides a plain
+// constraint set from scratch and is the reference CheckPath must match.
 //
 // This mirrors the role of the solver stack under KLEE in the paper, where
 // most path-feasibility queries are shallow and only assertion checks on
@@ -112,6 +118,11 @@ type Checker struct {
 	local    *Memo
 	encCache map[*bv.Expr]*localEnc
 
+	// Quick-tier scratch for CheckPath (path.go).
+	eval     bv.Evaluator
+	varCache map[*bv.Expr][]string
+	bindings []binding
+
 	// Session solver counters at the last harvest, so per-query growth
 	// can be folded into Stats.Accel.
 	lastSessDecisions, lastSessPropagations int64
@@ -122,7 +133,9 @@ type Checker struct {
 func New(ctx *bv.Context) *Checker { return &Checker{Ctx: ctx} }
 
 // Check decides whether the conjunction of constraints is satisfiable.
-// Every constraint must have width 1.
+// Every constraint must have width 1. Check evaluates every tier from
+// scratch; CheckPath (path.go) answers the same question incrementally
+// along an execution path and must agree with Check exactly.
 func (c *Checker) Check(constraints []*bv.Expr) Result {
 	c.Stats.Queries++
 	t0 := time.Now()
@@ -144,43 +157,46 @@ func (c *Checker) Check(constraints []*bv.Expr) Result {
 		return Result{Sat: true, Model: map[string]uint64{}, Quick: true}
 	}
 
-	// Layer 1.5: normalized memo. Quick tiers are deterministic and
-	// equivariant under renaming, so their outcomes are memoizable too —
-	// a hit replays the exact stats delta the original tier produced.
-	var cq *canonQuery
-	if !c.Cfg.DisableMemo {
-		cq = c.canon(live)
-		if e := c.memoGet(cq.key); e != nil {
-			return c.replay(cq, e)
-		}
-	}
-
 	// Layer 2: guessed assignment from equality constraints.
-	if env, ok := c.guessFromEqualities(live); ok && evalAll(live, env) {
-		return c.quickSAT(cq, live, env)
+	if env, ok := guessFromEqualities(live); ok && evalAll(live, env) {
+		return c.quickSAT(completeModel(live, env))
 	}
 	// All-zeros is another very common witness (e.g. "no header valid").
 	zero := map[string]uint64{}
 	if evalAll(live, zero) {
-		return c.quickSAT(cq, live, zero)
+		return c.quickSAT(completeModel(live, zero))
 	}
 	// Per-variable interval/exclusion probing: table-miss paths carry long
 	// runs of key != rule_i constraints, for which a value outside the
 	// exclusion set is an immediate witness — and whose facts, when they
 	// contradict each other, refute the whole set without search.
-	env, conflict := c.probeBounds(live)
+	env, conflict := probeBounds(live)
 	if conflict {
 		c.Stats.QuickUNSAT++
-		c.memoPut(cq, &memoEntry{quick: true})
 		return Result{Sat: false, Quick: true}
 	}
-	if env != nil && evalAll(live, env) {
-		return c.quickSAT(cq, live, env)
+	if evalAll(live, env) {
+		return c.quickSAT(completeModel(live, env))
 	}
+	return c.full(live)
+}
 
-	// Layer 3: full bit-blasting, accelerated (accel.go).
-	if cq == nil {
-		cq = canonicalize(live, c.encCacheMap())
+func (c *Checker) quickSAT(model map[string]uint64) Result {
+	c.Stats.QuickSAT++
+	return Result{Sat: true, Model: model, Quick: true}
+}
+
+// full decides live (no constant conjuncts) with layer 3: full
+// bit-blasting, accelerated (accel.go), behind the normalized memo.
+func (c *Checker) full(live []*bv.Expr) Result {
+	if c.encCache == nil {
+		c.encCache = map[*bv.Expr]*localEnc{}
+	}
+	cq := canonicalize(live, c.encCache)
+	if !c.Cfg.DisableMemo {
+		if e := c.memoGet(cq.key); e != nil {
+			return c.replay(cq, e)
+		}
 	}
 	c.Stats.FullQueries++
 	ans, vars, clauses := c.solveFull(cq)
@@ -194,27 +210,6 @@ func (c *Checker) Check(constraints []*bv.Expr) Result {
 	return Result{Sat: true, Model: ans.model}
 }
 
-func (c *Checker) encCacheMap() map[*bv.Expr]*localEnc {
-	if c.encCache == nil {
-		c.encCache = map[*bv.Expr]*localEnc{}
-	}
-	return c.encCache
-}
-
-func (c *Checker) canon(live []*bv.Expr) *canonQuery {
-	return canonicalize(live, c.encCacheMap())
-}
-
-// quickSAT records a quick-tier witness, memoizing it in canonical form.
-func (c *Checker) quickSAT(cq *canonQuery, live []*bv.Expr, env map[string]uint64) Result {
-	c.Stats.QuickSAT++
-	m := completeModel(live, env)
-	if cq != nil {
-		c.memoPut(cq, &memoEntry{sat: true, quick: true, model: canonValues(cq, m)})
-	}
-	return Result{Sat: true, Model: m, Quick: true}
-}
-
 // canonValues projects a model onto the canonical variable order.
 func canonValues(cq *canonQuery, m map[string]uint64) []uint64 {
 	vals := make([]uint64, len(cq.varOrder))
@@ -224,19 +219,11 @@ func canonValues(cq *canonQuery, m map[string]uint64) []uint64 {
 	return vals
 }
 
-// replay reproduces a memoized outcome: the same Result the original
-// tier returned (model transferred through the variable bijection) and
+// replay reproduces a memoized full-tier outcome: the same Result the
+// solve returned (model transferred through the variable bijection) and
 // the same comparable stats delta.
 func (c *Checker) replay(cq *canonQuery, e *memoEntry) Result {
 	c.Stats.Accel.MemoHits++
-	if e.quick {
-		if !e.sat {
-			c.Stats.QuickUNSAT++
-			return Result{Sat: false, Quick: true}
-		}
-		c.Stats.QuickSAT++
-		return Result{Sat: true, Model: namedModel(cq, e.model), Quick: true}
-	}
 	c.Stats.FullQueries++
 	c.Stats.BitblastVars += e.vars
 	c.Stats.BitblastClauses += e.clauses
@@ -272,7 +259,7 @@ func (c *Checker) memoGet(key string) *memoEntry {
 }
 
 func (c *Checker) memoPut(cq *canonQuery, e *memoEntry) {
-	if cq == nil || c.Cfg.DisableMemo {
+	if c.Cfg.DisableMemo {
 		return
 	}
 	c.local.put(cq.key, e)
@@ -281,46 +268,60 @@ func (c *Checker) memoPut(cq *canonQuery, e *memoEntry) {
 	}
 }
 
-// guessFromEqualities walks top-level conjunctions collecting var == const
-// bindings. Returns ok=false on a visible conflict between bindings, which
-// is itself a strong UNSAT hint but not proof (so we fall through).
-func (c *Checker) guessFromEqualities(constraints []*bv.Expr) (map[string]uint64, bool) {
-	env := map[string]uint64{}
-	ok := true
-	var visit func(e *bv.Expr)
-	visit = func(e *bv.Expr) {
-		switch e.Op {
-		case bv.OpAnd:
-			if e.Width == 1 {
-				visit(e.Args[0])
-				visit(e.Args[1])
-			}
-		case bv.OpEq:
-			a, b := e.Args[0], e.Args[1]
-			if a.Op == bv.OpConst {
-				a, b = b, a
-			}
-			if a.Op == bv.OpVar && b.Op == bv.OpConst {
-				if old, seen := env[a.Name]; seen && old != b.Val {
-					ok = false
-					return
-				}
-				env[a.Name] = b.Val
-			}
-		case bv.OpVar:
-			if e.Width == 1 {
-				env[e.Name] = 1
-			}
-		case bv.OpNot:
-			if e.Args[0].Op == bv.OpVar && e.Width == 1 {
-				env[e.Args[0].Name] = 0
-			}
+// binding is one var := const fact the equality guess reads off a
+// conjunct. A checked binding (from ==) conflicts with an earlier binding
+// of the same variable to another value; a boolean literal overwrites.
+type binding struct {
+	name    string
+	val     uint64
+	checked bool
+}
+
+// guessBindings appends the bindings of conjunct e, walking its top-level
+// conjunctions, in the order the guess applies them.
+func guessBindings(e *bv.Expr, dst []binding) []binding {
+	switch e.Op {
+	case bv.OpAnd:
+		if e.Width == 1 {
+			dst = guessBindings(e.Args[0], dst)
+			dst = guessBindings(e.Args[1], dst)
+		}
+	case bv.OpEq:
+		a, b := e.Args[0], e.Args[1]
+		if a.Op == bv.OpConst {
+			a, b = b, a
+		}
+		if a.Op == bv.OpVar && b.Op == bv.OpConst {
+			dst = append(dst, binding{name: a.Name, val: b.Val, checked: true})
+		}
+	case bv.OpVar:
+		if e.Width == 1 {
+			dst = append(dst, binding{name: e.Name, val: 1})
+		}
+	case bv.OpNot:
+		if e.Args[0].Op == bv.OpVar && e.Width == 1 {
+			dst = append(dst, binding{name: e.Args[0].Name, val: 0})
 		}
 	}
+	return dst
+}
+
+// guessFromEqualities collects the var == const bindings of all
+// constraints. Returns ok=false on a visible conflict between bindings,
+// which is itself a strong UNSAT hint but not proof (so we fall through).
+func guessFromEqualities(constraints []*bv.Expr) (map[string]uint64, bool) {
+	env := map[string]uint64{}
+	var bs []binding
 	for _, e := range constraints {
-		visit(e)
+		bs = guessBindings(e, bs[:0])
+		for _, b := range bs {
+			if old, seen := env[b.name]; b.checked && seen && old != b.val {
+				return nil, false
+			}
+			env[b.name] = b.val
+		}
 	}
-	return env, ok
+	return env, true
 }
 
 // varInfo accumulates per-variable facts from top-level conjuncts.
@@ -329,26 +330,61 @@ type varInfo struct {
 	lo, hi   uint64 // inclusive bounds
 	eq       uint64
 	hasEq    bool
-	excluded map[uint64]bool
+	excluded map[uint64]bool // nil until the first exclusion
 }
 
-// probeBounds collects per-variable equalities, disequalities and unsigned
-// bounds from top-level conjuncts. When the collected facts contradict
-// each other the set is UNSAT without search (conflict=true) — every fact
-// comes from a conjunct that must hold, so a per-variable contradiction is
-// proof, not heuristic. Otherwise it proposes the smallest in-bounds,
-// non-excluded value for each variable; the caller re-checks the proposal
-// against every constraint, so the witness side stays a pure guesser.
-func (c *Checker) probeBounds(constraints []*bv.Expr) (env map[string]uint64, conflict bool) {
-	infos := map[string]*varInfo{}
-	get := func(v *bv.Expr) *varInfo {
-		in, ok := infos[v.Name]
-		if !ok {
-			in = &varInfo{width: v.Width, hi: bv.Mask(v.Width), excluded: map[uint64]bool{}}
-			infos[v.Name] = in
-		}
-		return in
+func newVarInfo(width int) *varInfo { return &varInfo{width: width, hi: bv.Mask(width)} }
+
+func (in *varInfo) exclude(v uint64) {
+	if in.excluded == nil {
+		in.excluded = map[uint64]bool{}
 	}
+	in.excluded[v] = true
+}
+
+// clone returns a copy that can take further facts without changing in.
+func (in *varInfo) clone() *varInfo {
+	n := *in
+	if in.excluded != nil {
+		n.excluded = make(map[uint64]bool, len(in.excluded)+1)
+		for v := range in.excluded {
+			n.excluded[v] = true
+		}
+	}
+	return &n
+}
+
+// witness proposes the smallest in-bounds, non-excluded value, or reports
+// ok=false when the facts leave no value at all.
+func (in *varInfo) witness() (v uint64, ok bool) {
+	if in.hasEq {
+		if in.eq < in.lo || in.eq > in.hi || in.excluded[in.eq] {
+			return 0, false
+		}
+		return in.eq, true
+	}
+	if in.lo > in.hi {
+		return 0, false
+	}
+	v = in.lo
+	for in.excluded[v] && v < in.hi {
+		v++
+	}
+	if in.excluded[v] {
+		return 0, false // every value in [lo,hi] is excluded
+	}
+	// Clamp defensively: with the wrap guards in applyFacts v cannot leave
+	// the domain, and this keeps any future fact source from proposing a
+	// witness past Mask(width).
+	return v & bv.Mask(in.width), true
+}
+
+// applyFacts adds the per-variable equalities, disequalities and unsigned
+// bounds of conjunct e to the infos get returns (creating them on first
+// use). It reports a conflict when a fact contradicts the domain or an
+// earlier equality — every fact comes from a conjunct that must hold, so
+// a per-variable contradiction is proof, not heuristic.
+func applyFacts(e *bv.Expr, get func(v *bv.Expr) *varInfo) (conflict bool) {
 	var visit func(e *bv.Expr, neg bool)
 	visit = func(e *bv.Expr, neg bool) {
 		switch e.Op {
@@ -369,7 +405,7 @@ func (c *Checker) probeBounds(constraints []*bv.Expr) (env map[string]uint64, co
 			}
 			in := get(a)
 			if neg {
-				in.excluded[b.Val] = true
+				in.exclude(b.Val)
 			} else {
 				if in.hasEq && in.eq != b.Val {
 					conflict = true
@@ -449,35 +485,37 @@ func (c *Checker) probeBounds(constraints []*bv.Expr) (env map[string]uint64, co
 			}
 		}
 	}
-	for _, e := range constraints {
-		visit(e, false)
+	visit(e, false)
+	return conflict
+}
+
+// probeBounds collects the per-variable facts of all constraints. When
+// they contradict each other the set is UNSAT without search
+// (conflict=true). Otherwise it proposes a witness value for each
+// variable with facts; the caller re-checks the proposal against every
+// constraint, so the witness side stays a pure guesser.
+func probeBounds(constraints []*bv.Expr) (env map[string]uint64, conflict bool) {
+	infos := map[string]*varInfo{}
+	get := func(v *bv.Expr) *varInfo {
+		in, ok := infos[v.Name]
+		if !ok {
+			in = newVarInfo(v.Width)
+			infos[v.Name] = in
+		}
+		return in
 	}
-	if conflict {
-		return nil, true
+	for _, e := range constraints {
+		if applyFacts(e, get) {
+			return nil, true
+		}
 	}
 	env = map[string]uint64{}
 	for name, in := range infos {
-		if in.hasEq {
-			if in.eq < in.lo || in.eq > in.hi || in.excluded[in.eq] {
-				return nil, true
-			}
-			env[name] = in.eq
-			continue
-		}
-		if in.lo > in.hi {
+		v, ok := in.witness()
+		if !ok {
 			return nil, true
 		}
-		v := in.lo
-		for in.excluded[v] && v < in.hi {
-			v++
-		}
-		if in.excluded[v] {
-			return nil, true // every value in [lo,hi] is excluded
-		}
-		// Clamp defensively: with the wrap guards above v cannot leave the
-		// domain, and this keeps any future fact source from proposing a
-		// witness past Mask(width).
-		env[name] = v & bv.Mask(in.width)
+		env[name] = v
 	}
 	return env, false
 }

@@ -187,8 +187,10 @@ type frame struct {
 
 // state is one execution path's state.
 type state struct {
-	store    map[string]*bv.Expr
-	pc       []*bv.Expr
+	store map[string]*bv.Expr
+	// pc is the path condition. Fork children share it and extend it, so
+	// the solver's quick tiers only do the work of each new conjunct.
+	pc       *solver.Path
 	frames   []frame
 	entryIdx int
 	halted   bool // parser reject: skip remaining pipeline blocks
@@ -219,7 +221,7 @@ type pathCheck struct {
 func (s *state) clone() *state {
 	n := &state{
 		store:     make(map[string]*bv.Expr, len(s.store)),
-		pc:        append([]*bv.Expr(nil), s.pc...),
+		pc:        s.pc,
 		frames:    make([]frame, len(s.frames)),
 		entryIdx:  s.entryIdx,
 		halted:    s.halted,
@@ -292,10 +294,10 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		init.pc = append(init.pc, ex.ctx.NonZero(v))
+		init.pc = init.pc.Extend(ex.ctx.NonZero(v))
 	}
-	if len(init.pc) > 0 {
-		res := ex.chk.Check(init.pc)
+	if init.pc != nil {
+		res := ex.check(init.pc)
 		if !res.Sat {
 			// The submodel's assumption is itself infeasible: no paths.
 			return &Result{Metrics: ex.met}, nil
@@ -311,7 +313,7 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 			exhausted = true
 			break
 		}
-		if !opts.Deadline.IsZero() && ex.met.Instructions%4096 == 0 && time.Now().After(opts.Deadline) {
+		if !opts.Deadline.IsZero() && time.Now().After(opts.Deadline) {
 			exhausted = true
 			break
 		}
@@ -342,10 +344,10 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 // input assignment and concretizes the path's observable outcome under it.
 func (ex *executor) collectTest(st *state) {
 	var inputs map[string]uint64
-	if st.lastModel != nil && allSat(st.pc, st.lastModel) {
+	if st.lastModel != nil && allSat(st.pc.Constraints(), st.lastModel) {
 		inputs = st.lastModel
 	} else {
-		res := ex.chk.Check(st.pc)
+		res := ex.check(st.pc)
 		if !res.Sat {
 			return // cannot happen for eagerly-pruned paths
 		}
@@ -536,8 +538,8 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			if cond.IsTrue() {
 				continue
 			}
-			neg := ex.ctx.Not(cond)
-			res := ex.chk.Check(append(append([]*bv.Expr(nil), st.pc...), neg))
+			// Probe the violating side without committing it to the path.
+			res := ex.check(st.pc.Extend(ex.ctx.Not(cond)))
 			if res.Sat {
 				ex.recordViolation(s.ID, res.Model, st.trace)
 				// Continue exploring the passing side, if any, so later
@@ -604,28 +606,42 @@ func (ex *executor) constrain(st *state, cond *bv.Expr) *state {
 		ex.met.KilledInfeasible++
 		return nil
 	}
-	st.pc = append(st.pc, cond)
 	if ex.opts.Opt {
 		// Counterexample reuse: if the previous model still satisfies the
 		// new constraint, the path is SAT without consulting the solver.
 		if st.lastModel != nil && bv.Eval(cond, st.lastModel) == 1 {
+			st.pc = st.pc.Extend(cond)
 			return st
 		}
 		// Deduplicate syntactically repeated constraints.
-		for _, c := range st.pc[:len(st.pc)-1] {
-			if c == cond {
-				st.pc = st.pc[:len(st.pc)-1]
-				return st
-			}
+		if st.pc.Contains(cond) {
+			return st
 		}
 	}
-	res := ex.chk.Check(st.pc)
+	st.pc = st.pc.Extend(cond)
+	res := ex.check(st.pc)
 	if !res.Sat {
 		ex.met.KilledInfeasible++
 		return nil
 	}
 	st.lastModel = res.Model
 	return st
+}
+
+// checkHook, when set, sees every solver query with its result and the
+// comparable stats it added. Tests use it to re-ask each incremental
+// query from scratch.
+var checkHook func(pc *solver.Path, res solver.Result, before, after solver.Stats)
+
+// check asks the solver whether pc is satisfiable.
+func (ex *executor) check(pc *solver.Path) solver.Result {
+	if checkHook == nil {
+		return ex.chk.CheckPath(pc)
+	}
+	before := ex.chk.Stats
+	res := ex.chk.CheckPath(pc)
+	checkHook(pc, res, before, ex.chk.Stats)
+	return res
 }
 
 func (ex *executor) recordViolation(id int, m map[string]uint64, trace []string) {

@@ -268,6 +268,26 @@ func TestDeadlineExhausts(t *testing.T) {
 	}
 }
 
+// TestDeadlineExhaustsMidRun sets a deadline far shorter than the run: it
+// must stop exploration part-way, whatever the instruction count happens
+// to be when the deadline passes.
+func TestDeadlineExhaustsMidRun(t *testing.T) {
+	p := chainModel(8)
+	t0 := time.Now()
+	full, err := Execute(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(p, Options{Deadline: time.Now().Add(time.Since(t0) / 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Exhausted || res.Metrics.Paths >= full.Metrics.Paths {
+		t.Fatalf("deadline did not stop the run: exhausted=%v, %d of %d paths",
+			res.Exhausted, res.Metrics.Paths, full.Metrics.Paths)
+	}
+}
+
 func TestInitialConstraints(t *testing.T) {
 	p := chainModel(3)
 	// Constrain in == 0: exactly one path remains.
