@@ -33,6 +33,7 @@ func runSweep(b *testing.B, s bench.Sweep, x int, v bench.Variant) {
 func BenchmarkFig9a_Tables(b *testing.B) {
 	for _, x := range []int{8, 10, 12} {
 		b.Run(benchName("tables", x), func(b *testing.B) {
+			b.ReportAllocs()
 			runSweep(b, bench.SweepTables, x, bench.Original)
 		})
 	}

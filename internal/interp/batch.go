@@ -672,6 +672,7 @@ func (e *Exec) Run(in []uint64, dec []Decision) BatchResult {
 		}
 		pc := entry.start
 		e.calls = e.calls[:0]
+		e.depth[entry.fid]++
 	loop:
 		for {
 			ins := &c.code[pc]

@@ -89,6 +89,7 @@ func Run(p *model.Program, opts Options) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("interp: entry %s not found", name)
 		}
+		depth[name]++
 		frames = append(frames[:0], frame{fn: name, body: fn.Body})
 		for len(frames) > 0 {
 			fr := &frames[len(frames)-1]

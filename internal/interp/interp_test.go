@@ -173,9 +173,9 @@ func TestLoopBoundStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The entry activation itself is not depth-counted (matching the
-	// symbolic executor), so MaxCallDepth=3 admits 4 body executions.
-	if !res.Halted || res.Store["n"] != 4 {
+	// The entry activation itself is depth-counted (matching the
+	// symbolic executor), so MaxCallDepth=3 admits 3 body executions.
+	if !res.Halted || res.Store["n"] != 3 {
 		t.Fatalf("bound handling wrong: halted=%v n=%d", res.Halted, res.Store["n"])
 	}
 }

@@ -48,7 +48,7 @@ func comparableDelta(before, after solver.Stats) solver.Stats {
 	}
 }
 
-func buildModel(t *testing.T, name, source string, rs *rules.RuleSet) *model.Program {
+func buildModel(t testing.TB, name, source string, rs *rules.RuleSet) *model.Program {
 	t.Helper()
 	prog, err := p4.Parse(name, source)
 	if err != nil {
@@ -62,6 +62,19 @@ func buildModel(t *testing.T, name, source string, rs *rules.RuleSet) *model.Pro
 		t.Fatalf("%s: %v", name, err)
 	}
 	return m
+}
+
+// corpusRules parses p's default rules, or returns nil when it has none.
+func corpusRules(t testing.TB, p *progs.Program) *rules.RuleSet {
+	t.Helper()
+	if p.Rules == "" {
+		return nil
+	}
+	rs, err := rules.Parse(p.Rules)
+	if err != nil {
+		t.Fatalf("%s rules: %v", p.Name, err)
+	}
+	return rs
 }
 
 // crossCheckOptions are the executor modes whose queries differ: plain,
@@ -83,13 +96,7 @@ var crossCheckOptions = []struct {
 func TestIncrementalQueriesMatchFromScratchCorpus(t *testing.T) {
 	queries := crossCheck(t)
 	for _, p := range progs.All() {
-		var rs *rules.RuleSet
-		if p.Rules != "" {
-			var err error
-			if rs, err = rules.Parse(p.Rules); err != nil {
-				t.Fatalf("%s rules: %v", p.Name, err)
-			}
-		}
+		rs := corpusRules(t, p)
 		models := map[string]*model.Program{
 			"source":      buildModel(t, p.Name, p.Source, rs),
 			"constrained": buildModel(t, p.Name, p.ConstrainedSource(), rs),

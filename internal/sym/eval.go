@@ -24,11 +24,11 @@ func (ex *executor) eval(e model.Expr, st *state) (*bv.Expr, error) {
 		return c.Const(x.Width, x.Val), nil
 
 	case *model.Ref:
-		v, ok := st.store[x.Name]
+		i, ok := ex.slots[x.Name]
 		if !ok {
 			return nil, fmt.Errorf("sym: read of unknown global %s", x.Name)
 		}
-		return v, nil
+		return st.store[i], nil
 
 	case *model.Cast:
 		v, err := ex.eval(x.X, st)

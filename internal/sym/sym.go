@@ -179,31 +179,45 @@ func (r *Result) Violated(id int) bool {
 // frame is one activation record; block frames are nested statement lists
 // within the same function activation.
 type frame struct {
-	fn      string
 	body    []model.Stmt
-	ip      int
+	ip      int32
+	fn      int32 // function id (executor.funcs)
 	isBlock bool
 }
 
-// state is one execution path's state.
+// frameSlack is the spare capacity a cloned frame stack gets, so the
+// child's pushBody and its next Call append without reallocating.
+const frameSlack = 2
+
+// state is one execution path's state. Fork children share the parent's
+// trace, path condition, depth and symCnt, as KLEE's do: a child copies
+// depth or symCnt on its first write to it. The store and frames, which
+// nearly every child writes, are copied at the fork.
 type state struct {
-	store map[string]*bv.Expr
+	// store holds each global's value, indexed by its position in
+	// Program.Globals.
+	store []*bv.Expr
 	// pc is the path condition. Fork children share it and extend it, so
 	// the solver's quick tiers only do the work of each new conjunct.
 	pc       *solver.Path
 	frames   []frame
 	entryIdx int
 	halted   bool // parser reject: skip remaining pipeline blocks
-	trace    []string
-	depth    map[string]int
-	// symCnt numbers fresh symbolic values along this path per hint, so
+	trace    *traceNode
+	// depth counts the live activations of each function, by function id;
+	// nil means all zero.
+	depth []int32
+	// symCnt numbers fresh symbolic values along this path per hint id, so
 	// the k-th MakeSymbolic of a given hint always gets the same name
 	// ("hint#k") regardless of exploration order or what other hints were
 	// drawn in between. Per-hint (rather than path-global) numbering makes
 	// the names portable across program versions: when two composed models
 	// extract the same field (internal/equiv), their k-th draws share one
-	// symbolic variable — the same packet byte.
-	symCnt map[string]int
+	// symbolic variable — the same packet byte. Ids past its end count 0.
+	symCnt []int32
+	// ownDepth and ownSymCnt report that depth and symCnt may be written
+	// in place: no fork child still to run shares them.
+	ownDepth, ownSymCnt bool
 	// lastModel caches a satisfying assignment for pc (Opt mode).
 	lastModel map[string]uint64
 	// checks records every assertion condition evaluated along the path
@@ -218,32 +232,48 @@ type pathCheck struct {
 	cond *bv.Expr
 }
 
+// traceNode is one fork-trace entry. A path's trace is a list linked from
+// its newest entry, so fork children share their parent's entries.
+type traceNode struct {
+	label string
+	prev  *traceNode
+}
+
+// strings returns the trace oldest entry first, or nil when it is empty.
+func (t *traceNode) strings() []string {
+	n := 0
+	for e := t; e != nil; e = e.prev {
+		n++
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for e := t; e != nil; e = e.prev {
+		n--
+		out[n] = e.label
+	}
+	return out
+}
+
+// clone returns a fork child of s. The child shares depth and symCnt with
+// s and copies them on its first write; s keeps writing them in place.
+// That is safe because exploration is depth-first and s is always the
+// last branch of its fork: s runs only after every child's subtree has
+// finished.
 func (s *state) clone() *state {
-	n := &state{
-		store:     make(map[string]*bv.Expr, len(s.store)),
-		pc:        s.pc,
-		frames:    make([]frame, len(s.frames)),
-		entryIdx:  s.entryIdx,
-		halted:    s.halted,
-		trace:     append([]string(nil), s.trace...),
-		depth:     make(map[string]int, len(s.depth)),
-		lastModel: s.lastModel,
-		checks:    s.checks[:len(s.checks):len(s.checks)],
-	}
-	for k, v := range s.store {
-		n.store[k] = v
-	}
-	copy(n.frames, s.frames)
-	for k, v := range s.depth {
-		n.depth[k] = v
-	}
-	if len(s.symCnt) > 0 {
-		n.symCnt = make(map[string]int, len(s.symCnt))
-		for k, v := range s.symCnt {
-			n.symCnt[k] = v
-		}
-	}
-	return n
+	n := *s
+	n.store = append([]*bv.Expr(nil), s.store...)
+	n.frames = append(make([]frame, 0, len(s.frames)+frameSlack), s.frames...)
+	n.checks = s.checks[:len(s.checks):len(s.checks)]
+	n.ownDepth, n.ownSymCnt = false, false
+	return &n
+}
+
+// funcInfo is one model function with its per-Execute id.
+type funcInfo struct {
+	id   int32
+	body []model.Stmt
 }
 
 type executor struct {
@@ -255,54 +285,32 @@ type executor struct {
 	byID    map[int]*Violation
 	ordered []*Violation
 	tests   []PathTest
-	// egress caches the model's egress-port global name (CollectTests).
+	// egress caches the model's egress-port global name (CollectTests;
+	// "" names no global).
 	egress string
+
+	// Per-Execute lookup tables and string caches. They live on the
+	// executor, never at package level: parallel submodel runs execute
+	// several executors at once.
+	slots map[string]int      // global name -> index in p.Globals
+	funcs map[string]funcInfo // function name -> id and body
+	// hints numbers MakeSymbolic hints; drawNames[h][k-1] is "hint#k".
+	hints     map[string]int32
+	drawNames [][]string
+	// forkLabels holds each Fork's "Selector=Label" trace entries.
+	forkLabels map[*model.Fork][]string
 }
 
 // Execute symbolically runs the program over all paths.
 func Execute(p *model.Program, opts Options) (*Result, error) {
-	if opts.MaxCallDepth == 0 {
-		opts.MaxCallDepth = 8
+	ex := newExecutor(p, opts)
+	init, err := ex.initialState()
+	if err != nil {
+		return nil, err
 	}
-	ctx := bv.NewContext()
-	ex := &executor{
-		p:    p,
-		opts: opts,
-		ctx:  ctx,
-		chk:  solver.New(ctx),
-		byID: map[int]*Violation{},
-	}
-	ex.chk.Cfg = opts.Solver
-	ex.chk.Shared = opts.SolverMemo
-	if opts.CollectTests {
-		ex.egress = EgressGlobal(p)
-	}
-
-	init := &state{
-		store: make(map[string]*bv.Expr, len(p.Globals)),
-		depth: map[string]int{},
-	}
-	for _, g := range p.Globals {
-		if g.Symbolic {
-			init.store[g.Name] = ctx.Var(g.Name, g.Width)
-		} else {
-			init.store[g.Name] = ctx.Const(g.Width, g.Init)
-		}
-	}
-	for _, c := range opts.InitialConstraints {
-		v, err := ex.eval(c, init)
-		if err != nil {
-			return nil, err
-		}
-		init.pc = init.pc.Extend(ex.ctx.NonZero(v))
-	}
-	if init.pc != nil {
-		res := ex.check(init.pc)
-		if !res.Sat {
-			// The submodel's assumption is itself infeasible: no paths.
-			return &Result{Metrics: ex.met}, nil
-		}
-		init.lastModel = res.Model
+	if init == nil {
+		// The submodel's assumption is itself infeasible: no paths.
+		return &Result{Metrics: ex.met}, nil
 	}
 
 	stack := []*state{init}
@@ -328,7 +336,8 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Push forks in reverse for in-order DFS.
+		// Push forks in reverse for in-order DFS: the parent state, always
+		// the last fork, runs after its children (see clone).
 		for i := len(forks) - 1; i >= 0; i-- {
 			stack = append(stack, forks[i])
 		}
@@ -338,6 +347,66 @@ func Execute(p *model.Program, opts Options) (*Result, error) {
 	}
 	ex.met.Solver = ex.chk.Stats
 	return &Result{Violations: ex.ordered, Metrics: ex.met, Tests: ex.tests, Exhausted: exhausted}, nil
+}
+
+// newExecutor returns an executor for one Execute call, with its
+// per-call lookup tables built.
+func newExecutor(p *model.Program, opts Options) *executor {
+	if opts.MaxCallDepth == 0 {
+		opts.MaxCallDepth = 8
+	}
+	ctx := bv.NewContext()
+	ex := &executor{
+		p:          p,
+		opts:       opts,
+		ctx:        ctx,
+		chk:        solver.New(ctx),
+		byID:       map[int]*Violation{},
+		slots:      make(map[string]int, len(p.Globals)),
+		funcs:      make(map[string]funcInfo, len(p.Funcs)),
+		hints:      map[string]int32{},
+		forkLabels: map[*model.Fork][]string{},
+	}
+	for i, g := range p.Globals {
+		ex.slots[g.Name] = i
+	}
+	for name, f := range p.Funcs {
+		ex.funcs[name] = funcInfo{id: int32(len(ex.funcs)), body: f.Body}
+	}
+	ex.chk.Cfg = opts.Solver
+	ex.chk.Shared = opts.SolverMemo
+	if opts.CollectTests {
+		ex.egress = EgressGlobal(p)
+	}
+	return ex
+}
+
+// initialState returns the state every path starts from, or nil when
+// Options.InitialConstraints are infeasible.
+func (ex *executor) initialState() (*state, error) {
+	init := &state{store: make([]*bv.Expr, len(ex.p.Globals))}
+	for i, g := range ex.p.Globals {
+		if g.Symbolic {
+			init.store[i] = ex.ctx.Var(g.Name, g.Width)
+		} else {
+			init.store[i] = ex.ctx.Const(g.Width, g.Init)
+		}
+	}
+	for _, c := range ex.opts.InitialConstraints {
+		v, err := ex.eval(c, init)
+		if err != nil {
+			return nil, err
+		}
+		init.pc = init.pc.Extend(ex.ctx.NonZero(v))
+	}
+	if init.pc != nil {
+		res := ex.check(init.pc)
+		if !res.Sat {
+			return nil, nil
+		}
+		init.lastModel = res.Model
+	}
+	return init, nil
 }
 
 // collectTest solves the completed path's constraints into one concrete
@@ -358,13 +427,11 @@ func (ex *executor) collectTest(st *state) {
 		cp[k] = v
 	}
 	out := PathOutcome{Halted: st.halted}
-	if v, ok := st.store[model.ForwardFlag]; ok {
-		out.Forward = bv.Eval(v, cp)
+	if i, ok := ex.slots[model.ForwardFlag]; ok {
+		out.Forward = bv.Eval(st.store[i], cp)
 	}
-	if ex.egress != "" {
-		if v, ok := st.store[ex.egress]; ok {
-			out.Egress = bv.Eval(v, cp)
-		}
+	if i, ok := ex.slots[ex.egress]; ok {
+		out.Egress = bv.Eval(st.store[i], cp)
 	}
 	for _, c := range st.checks {
 		if bv.Eval(c.cond, cp) == 0 {
@@ -372,7 +439,7 @@ func (ex *executor) collectTest(st *state) {
 		}
 	}
 	out.Failures = NormalizeFailures(out.Failures)
-	ex.tests = append(ex.tests, PathTest{Inputs: cp, Trace: append([]string(nil), st.trace...), Outcome: out})
+	ex.tests = append(ex.tests, PathTest{Inputs: cp, Trace: st.trace.strings(), Outcome: out})
 }
 
 func allSat(pc []*bv.Expr, env map[string]uint64) bool {
@@ -402,17 +469,17 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			if st.halted && name != "$checks" {
 				continue // rejected packets skip the pipeline blocks
 			}
-			fn, ok := ex.p.Funcs[name]
+			fn, ok := ex.funcs[name]
 			if !ok {
 				return nil, fmt.Errorf("sym: entry function %s not found", name)
 			}
-			st.frames = append(st.frames, frame{fn: name, body: fn.Body})
+			ex.enter(st, fn)
 		}
 
 		fr := &st.frames[len(st.frames)-1]
-		if fr.ip >= len(fr.body) {
+		if int(fr.ip) >= len(fr.body) {
 			if !fr.isBlock {
-				st.depth[fr.fn]--
+				ex.addDepth(st, fr.fn, -1)
 			}
 			st.frames = st.frames[:len(st.frames)-1]
 			continue
@@ -427,23 +494,18 @@ func (ex *executor) run(st *state) ([]*state, error) {
 			if err != nil {
 				return nil, err
 			}
-			g, ok := ex.p.Global(s.LHS)
+			i, ok := ex.slots[s.LHS]
 			if !ok {
 				return nil, fmt.Errorf("sym: assignment to unknown global %s", s.LHS)
 			}
-			st.store[s.LHS] = ex.ctx.Resize(v, g.Width)
+			st.store[i] = ex.ctx.Resize(v, ex.p.Globals[i].Width)
 
 		case *model.MakeSymbolic:
-			g, ok := ex.p.Global(s.Var)
+			i, ok := ex.slots[s.Var]
 			if !ok {
 				return nil, fmt.Errorf("sym: make_symbolic of unknown global %s", s.Var)
 			}
-			if st.symCnt == nil {
-				st.symCnt = map[string]int{}
-			}
-			st.symCnt[s.Hint]++
-			name := fmt.Sprintf("%s#%d", s.Hint, st.symCnt[s.Hint])
-			st.store[s.Var] = ex.ctx.Var(name, g.Width)
+			st.store[i] = ex.ctx.Var(ex.draw(st, s.Hint), ex.p.Globals[i].Width)
 
 		case *model.If:
 			cond, err := ex.eval(s.Cond, st)
@@ -473,6 +535,7 @@ func (ex *executor) run(st *state) ([]*state, error) {
 
 		case *model.Fork:
 			ex.met.Forks++
+			labels := ex.forkTrace(s)
 			out := make([]*state, 0, len(s.Branches))
 			for i := range s.Branches {
 				var br *state
@@ -481,22 +544,18 @@ func (ex *executor) run(st *state) ([]*state, error) {
 				} else {
 					br = st.clone()
 				}
-				label := ""
-				if i < len(s.Labels) {
-					label = s.Labels[i]
-				}
-				br.trace = append(br.trace, fmt.Sprintf("%s=%s", s.Selector, label))
+				br.trace = &traceNode{label: labels[i], prev: br.trace}
 				ex.pushBody(br, fr.fn, s.Branches[i])
 				out = append(out, br)
 			}
 			return out, nil
 
 		case *model.Call:
-			fn, ok := ex.p.Funcs[s.Func]
+			fn, ok := ex.funcs[s.Func]
 			if !ok {
 				return nil, fmt.Errorf("sym: call to unknown function %s", s.Func)
 			}
-			if st.depth[s.Func] >= ex.opts.MaxCallDepth {
+			if st.depth != nil && int(st.depth[fn.id]) >= ex.opts.MaxCallDepth {
 				// Loop bound hit (recursive parser): the execution is
 				// truncated, so the path is killed outright — its final
 				// state is not meaningful and is not checked, as with a
@@ -504,8 +563,7 @@ func (ex *executor) run(st *state) ([]*state, error) {
 				ex.met.BoundExceeded++
 				return nil, nil
 			}
-			st.depth[s.Func]++
-			st.frames = append(st.frames, frame{fn: s.Func, body: fn.Body})
+			ex.enter(st, fn)
 
 		case *model.Assume:
 			v, err := ex.eval(s.Cond, st)
@@ -557,7 +615,7 @@ func (ex *executor) run(st *state) ([]*state, error) {
 				top := st.frames[len(st.frames)-1]
 				st.frames = st.frames[:len(st.frames)-1]
 				if !top.isBlock {
-					st.depth[top.fn]--
+					ex.addDepth(st, top.fn, -1)
 					break
 				}
 			}
@@ -565,22 +623,22 @@ func (ex *executor) run(st *state) ([]*state, error) {
 		case *model.Exit:
 			// P4 exit: terminate all blocks of the current pipeline stage.
 			st.frames = st.frames[:0]
-			st.depth = map[string]int{}
+			st.depth, st.ownDepth = nil, false
 
 		case *model.Halt:
 			// Parser reject: skip the pipeline, keep final checks.
 			st.frames = st.frames[:0]
-			st.depth = map[string]int{}
+			st.depth, st.ownDepth = nil, false
 			st.halted = true
 
 		case *model.TraceNote:
-			st.trace = append(st.trace, s.Label)
+			st.trace = &traceNode{label: s.Label, prev: st.trace}
 
 		case *model.ResetDraws:
 			// Restart per-hint input numbering: subsequent draws re-yield
 			// the hash-consed variables of the first sequence, which is how
 			// composed differential models share one symbolic packet.
-			st.symCnt = nil
+			st.symCnt, st.ownSymCnt = nil, false
 
 		default:
 			return nil, fmt.Errorf("sym: unknown statement %T", stmt)
@@ -588,8 +646,67 @@ func (ex *executor) run(st *state) ([]*state, error) {
 	}
 }
 
+// enter pushes an activation of fn, counting it in st's call depth.
+func (ex *executor) enter(st *state, fn funcInfo) {
+	ex.addDepth(st, fn.id, 1)
+	st.frames = append(st.frames, frame{fn: fn.id, body: fn.body})
+}
+
+// addDepth adds delta to function fn's activation count in st, first
+// copying st.depth if st does not own it.
+func (ex *executor) addDepth(st *state, fn, delta int32) {
+	if !st.ownDepth {
+		d := make([]int32, len(ex.funcs))
+		copy(d, st.depth)
+		st.depth, st.ownDepth = d, true
+	}
+	st.depth[fn] += delta
+}
+
+// draw returns the name of st's next symbolic value for hint: "hint#k" for
+// its k-th draw since the path began or last reset its draws.
+func (ex *executor) draw(st *state, hint string) string {
+	h, ok := ex.hints[hint]
+	if !ok {
+		h = int32(len(ex.drawNames))
+		ex.hints[hint] = h
+		ex.drawNames = append(ex.drawNames, nil)
+	}
+	if !st.ownSymCnt || int(h) >= len(st.symCnt) {
+		c := make([]int32, len(ex.drawNames))
+		copy(c, st.symCnt)
+		st.symCnt, st.ownSymCnt = c, true
+	}
+	st.symCnt[h]++
+	k := int(st.symCnt[h])
+	names := ex.drawNames[h]
+	for len(names) < k {
+		names = append(names, fmt.Sprintf("%s#%d", hint, len(names)+1))
+	}
+	ex.drawNames[h] = names
+	return names[k-1]
+}
+
+// forkTrace returns the trace entry "Selector=Label" of each of f's
+// branches.
+func (ex *executor) forkTrace(f *model.Fork) []string {
+	labels, ok := ex.forkLabels[f]
+	if !ok {
+		labels = make([]string, len(f.Branches))
+		for i := range labels {
+			label := ""
+			if i < len(f.Labels) {
+				label = f.Labels[i]
+			}
+			labels[i] = f.Selector + "=" + label
+		}
+		ex.forkLabels[f] = labels
+	}
+	return labels
+}
+
 // pushBody enters a nested statement list within the same function.
-func (ex *executor) pushBody(st *state, fn string, body []model.Stmt) {
+func (ex *executor) pushBody(st *state, fn int32, body []model.Stmt) {
 	if len(body) == 0 {
 		return
 	}
@@ -644,7 +761,7 @@ func (ex *executor) check(pc *solver.Path) solver.Result {
 	return res
 }
 
-func (ex *executor) recordViolation(id int, m map[string]uint64, trace []string) {
+func (ex *executor) recordViolation(id int, m map[string]uint64, trace *traceNode) {
 	v, ok := ex.byID[id]
 	if !ok {
 		var info *model.AssertInfo
@@ -655,7 +772,7 @@ func (ex *executor) recordViolation(id int, m map[string]uint64, trace []string)
 			AssertID: id,
 			Info:     info,
 			Model:    m,
-			Trace:    append([]string(nil), trace...),
+			Trace:    trace.strings(),
 		}
 		ex.byID[id] = v
 		ex.ordered = append(ex.ordered, v)
