@@ -15,9 +15,8 @@
 //	                     1/2/4 nodes — cold, cache-warm and incremental —
 //	                     vs the single-process parallel pipeline
 //	                     (writes BENCH_cluster.json)
-//	-exp solver          execute fabric under each solver acceleration
-//	                     mode (sessions, portfolio, memo cold/warm) vs the
-//	                     unaccelerated baseline (writes BENCH_solver.json)
+//	-exp solver          execute fabric with the solver memo cold and warm
+//	                     vs the memo-off baseline (writes BENCH_solver.json)
 //	-exp all             everything above
 //
 // Absolute numbers differ from the paper's (different machine, engine and
@@ -230,9 +229,8 @@ func run(id string, full bool, repeats int) error {
 		fmt.Printf("Solver acceleration (%s, %d lines; %d queries, %d full):\n",
 			res.Program, res.ProgramLines, res.Queries, res.FullQueries)
 		for _, r := range res.Runs {
-			fmt.Printf("  %-10s wall %.3fs  solver %.4fs  reuse %-5d memo %-5d race s/f %d/%d  learned %d\n",
-				r.Mode, r.WallSeconds, r.SolverSeconds, r.SessionReuseHits, r.MemoHits,
-				r.PortfolioSessionWins, r.PortfolioFreshWins, r.LearnedClauses)
+			fmt.Printf("  %-10s wall %.3fs  solver %.4fs  memo %-5d learned %d\n",
+				r.Mode, r.WallSeconds, r.SolverSeconds, r.MemoHits, r.LearnedClauses)
 		}
 		fmt.Printf("  solver-time speedup (baseline vs warm memo): %.1fx\n", res.Speedup)
 		fmt.Printf("  byte-identical results: %v\n", res.ByteIdentical)
@@ -243,8 +241,8 @@ func run(id string, full bool, repeats int) error {
 		if res.Speedup < 3 {
 			return fmt.Errorf("solver-time speedup %.2fx below the 3x acceptance bar", res.Speedup)
 		}
-		if res.SessionReuseHits == 0 {
-			return fmt.Errorf("incremental sessions reused no circuits")
+		if res.WarmMemoHits == 0 {
+			return fmt.Errorf("the warm memo answered no queries")
 		}
 		return nil
 

@@ -1,10 +1,9 @@
 package bench
 
 // The solver-acceleration benchmark: execute the largest corpus program
-// (fabric) under each acceleration mode and measure where the solver time
-// goes — cold baseline (every layer off, the pre-acceleration stack),
-// incremental sessions, portfolio racing, and the normalized memo cold
-// and warm. All modes must produce identical verdicts, witnesses and
+// (fabric) with the normalized memo off (baseline: every full query is a
+// fresh bit-blast), cold and warm, and measure where the solver time
+// goes. All modes must produce identical verdicts, witnesses and
 // comparable metrics; only wall time and the acceleration telemetry may
 // move.
 //
@@ -30,12 +29,9 @@ type SolverRun struct {
 	WallSeconds   float64 `json:"wall_seconds"`
 	SolverSeconds float64 `json:"solver_seconds"`
 	// The acceleration telemetry of that repetition.
-	SessionReuseHits     int64 `json:"session_reuse_hits"`
-	MemoHits             int64 `json:"memo_hits"`
-	PortfolioSessionWins int64 `json:"portfolio_session_wins"`
-	PortfolioFreshWins   int64 `json:"portfolio_fresh_wins"`
-	SatConflicts         int64 `json:"sat_conflicts"`
-	LearnedClauses       int64 `json:"learned_clauses"`
+	MemoHits       int64 `json:"memo_hits"`
+	SatConflicts   int64 `json:"sat_conflicts"`
+	LearnedClauses int64 `json:"learned_clauses"`
 }
 
 // SolverResult is the BENCH_solver.json payload.
@@ -46,9 +42,9 @@ type SolverResult struct {
 	// Queries/FullQueries describe the workload (identical in every mode).
 	Queries     int64 `json:"queries"`
 	FullQueries int64 `json:"full_queries"`
-	// SessionReuseHits mirrors the session row's counter at top level —
-	// the CI smoke assertion that incremental sessions actually engage.
-	SessionReuseHits int64 `json:"session_reuse_hits"`
+	// WarmMemoHits mirrors the memo_warm row's memo hits at top level —
+	// the CI smoke assertion that the memo actually answers queries.
+	WarmMemoHits int64 `json:"warm_memo_hits"`
 	// ByteIdentical records that every mode's verdicts, witnesses and
 	// comparable metrics matched the baseline's exactly.
 	ByteIdentical bool        `json:"byte_identical"`
@@ -59,15 +55,13 @@ type SolverResult struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// solverModes orders the benchmark rows from no acceleration to full.
+// solverModes orders the benchmark rows from no memo to a warm one.
 var solverModes = []struct {
 	name   string
 	cfg    solver.Config
 	shared bool // reuse one warmed run-wide memo across repetitions
 }{
-	{"baseline", solver.Config{DisableSession: true, DisableMemo: true, DisablePortfolio: true}, false},
-	{"session", solver.Config{DisableMemo: true, DisablePortfolio: true}, false},
-	{"portfolio", solver.Config{DisableMemo: true}, false},
+	{"baseline", solver.Config{DisableMemo: true}, false},
 	{"memo_cold", solver.Config{}, false},
 	{"memo_warm", solver.Config{}, true},
 }
@@ -120,10 +114,7 @@ func Solver(repeats int) (*SolverResult, error) {
 			if sec := float64(a.WallNS) / 1e9; row.SolverSeconds < 0 || sec < row.SolverSeconds {
 				row.SolverSeconds = sec
 				row.WallSeconds = wall
-				row.SessionReuseHits = a.SessionReuseHits
 				row.MemoHits = a.MemoHits
-				row.PortfolioSessionWins = a.PortfolioSessionWins
-				row.PortfolioFreshWins = a.PortfolioFreshWins
 				row.SatConflicts = a.Conflicts
 				row.LearnedClauses = a.LearnedClauses
 			}
@@ -143,10 +134,9 @@ func Solver(repeats int) (*SolverResult, error) {
 		switch mode.name {
 		case "baseline":
 			baselineSolver = row.SolverSeconds
-		case "session":
-			res.SessionReuseHits = row.SessionReuseHits
 		case "memo_warm":
 			warmSolver = row.SolverSeconds
+			res.WarmMemoHits = row.MemoHits
 		}
 		res.Runs = append(res.Runs, row)
 	}

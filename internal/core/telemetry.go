@@ -18,11 +18,11 @@ type ReportTelemetry struct {
 	// identical between cold parallel runs and incremental replays —
 	// which lets ComparableJSON keep them while dropping wall times.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Solver names the solver acceleration counters (session reuse, memo
-	// hits, portfolio winners, raw SAT search effort, solver wall time).
-	// Unlike Counters these are NOT deterministic — they depend on cache
-	// state and goroutine timing — so ComparableJSON drops them along
-	// with the stage wall times.
+	// Solver names the solver acceleration counters (memo hits, raw SAT
+	// search effort, solver wall time). Unlike Counters these are NOT
+	// deterministic — they depend on memo state shared between parallel
+	// submodels — so ComparableJSON drops them along with the stage wall
+	// times.
 	Solver map[string]int64 `json:"solver,omitempty"`
 }
 
@@ -66,17 +66,13 @@ func fillTelemetry(rep *Report, opts Options, fromSource bool) {
 func accelCounters(m sym.Metrics) map[string]int64 {
 	a := m.Solver.Accel
 	return map[string]int64{
-		"session_reuse_hits":     a.SessionReuseHits,
-		"session_emitted":        a.SessionEmitted,
-		"memo_hits":              a.MemoHits,
-		"memo_shared_hits":       a.MemoSharedHits,
-		"portfolio_session_wins": a.PortfolioSessionWins,
-		"portfolio_fresh_wins":   a.PortfolioFreshWins,
-		"sat_decisions":          a.Decisions,
-		"sat_propagations":       a.Propagations,
-		"sat_conflicts":          a.Conflicts,
-		"sat_learned":            a.LearnedClauses,
-		"solver_wall_ns":         a.WallNS,
+		"memo_hits":        a.MemoHits,
+		"memo_shared_hits": a.MemoSharedHits,
+		"sat_decisions":    a.Decisions,
+		"sat_propagations": a.Propagations,
+		"sat_conflicts":    a.Conflicts,
+		"sat_learned":      a.LearnedClauses,
+		"solver_wall_ns":   a.WallNS,
 	}
 }
 

@@ -1,12 +1,12 @@
 package difftest
 
 // Corpus-wide solver-acceleration equivalence: for every corpus program
-// and technique shape, reports under the accelerated solver stack
-// (incremental sessions + normalized memo + portfolio racing) must be
-// byte-identical under ComparableJSON to the compat path with every
-// acceleration layer disabled. This is the acceptance gate that lets the
-// acceleration subsystem claim to be a pure performance change: verdicts,
-// counterexample models, and all comparable counters must not move.
+// and technique shape, reports with the normalized memo must be
+// byte-identical under ComparableJSON to the compat path with the memo
+// disabled (every full query a fresh bit-blast). This is the acceptance
+// gate that lets the memo claim to be a pure performance change:
+// verdicts, counterexample models, and all comparable counters must not
+// move.
 
 import (
 	"testing"
@@ -17,14 +17,6 @@ import (
 )
 
 func TestSolverAccelerationEquivalenceCorpus(t *testing.T) {
-	modes := []struct {
-		name string
-		cfg  solver.Config
-	}{
-		{"session-only", solver.Config{DisablePortfolio: true}},
-		{"memo-only", solver.Config{DisableSession: true}},
-		{"portfolio", solver.Config{}},
-	}
 	shapes := []struct {
 		name string
 		opts core.Options
@@ -32,7 +24,7 @@ func TestSolverAccelerationEquivalenceCorpus(t *testing.T) {
 		{"parallel", core.Options{Parallel: 4}},
 		{"sequential-opt", core.Options{Opt: true}},
 	}
-	compat := solver.Config{DisableSession: true, DisableMemo: true, DisablePortfolio: true}
+	compat := solver.Config{DisableMemo: true}
 
 	for _, p := range progs.All() {
 		p := p
@@ -45,15 +37,11 @@ func TestSolverAccelerationEquivalenceCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, mode := range modes {
-					opts := shape.opts
-					opts.Solver = mode.cfg
-					got, err := verifyCold(t, file, p.Source, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustComparable(t, shape.name+"/"+mode.name, want, got)
+				got, err := verifyCold(t, file, p.Source, shape.opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				mustComparable(t, shape.name+"/memo", want, got)
 			}
 		})
 	}

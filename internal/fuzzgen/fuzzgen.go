@@ -395,9 +395,9 @@ func Generate(seed uint64) *Program {
 	return &Program{Seed: seed, Spec: g.spec}
 }
 
-func (g *gen) intn(n int) int      { return int(g.r.Uint64N(uint64(n))) }
+func (g *gen) intn(n int) int        { return int(g.r.Uint64N(uint64(n))) }
 func (g *gen) chance(p float64) bool { return g.r.Float64() < p }
-func (g *gen) width() int          { return widths[g.intn(len(widths))] }
+func (g *gen) width() int            { return widths[g.intn(len(widths))] }
 
 func mask(w int) uint64 {
 	if w >= 64 {

@@ -23,31 +23,31 @@ import (
 // Statement opcodes. Control flow is flattened into jumps; each function
 // of the model compiles to a contiguous code region.
 const (
-	opAssign  = iota // eval expr -> store[a]
-	opMakeSym        // store[a] = input for the next draw of hint b
-	opJump           // pc = a
-	opJumpZ          // eval expr; if zero pc = a
-	opFork           // consume a decision for fork site a, jump to its branch
-	opNote           // consume a decision for trace-note a
-	opCall           // call function a (depth-bounded)
-	opReturn         // return from the current function
-	opExit           // unwind the current entry function
-	opHalt           // parser reject: skip remaining non-$checks entries
-	opAssume         // eval expr; zero stops the run (input outside space)
-	opAssert         // eval expr; zero sets failure bit a
-	opResetDraws     // restart per-hint input numbering
+	opAssign     = iota // eval expr -> store[a]
+	opMakeSym           // store[a] = input for the next draw of hint b
+	opJump              // pc = a
+	opJumpZ             // eval expr; if zero pc = a
+	opFork              // consume a decision for fork site a, jump to its branch
+	opNote              // consume a decision for trace-note a
+	opCall              // call function a (depth-bounded)
+	opReturn            // return from the current function
+	opExit              // unwind the current entry function
+	opHalt              // parser reject: skip remaining non-$checks entries
+	opAssume            // eval expr; zero stops the run (input outside space)
+	opAssert            // eval expr; zero sets failure bit a
+	opResetDraws        // restart per-hint input numbering
 )
 
 // Expression opcodes (postfix, evaluated on a value stack). Every operand
 // width is static, so masks are precomputed per op.
 const (
-	exConst = iota // push consts[a]
-	exSlot         // push store[a]
-	exCast         // re-mask top of stack
-	exNot          // logical not (width 1)
-	exBitNot       // ^x & mask
-	exNeg          // -x & mask
-	exCond         // c,t,f -> c!=0 ? t : f (masked)
+	exConst  = iota // push consts[a]
+	exSlot          // push store[a]
+	exCast          // re-mask top of stack
+	exNot           // logical not (width 1)
+	exBitNot        // ^x & mask
+	exNeg           // -x & mask
+	exCond          // c,t,f -> c!=0 ? t : f (masked)
 	exEq
 	exNe
 	exLt

@@ -9,14 +9,14 @@
 // clauses persist across calls (they are derived from the clause database
 // alone, so they stay valid whatever the next call assumes). Models are
 // captured on SAT and survive backtracking, so Value works after the
-// trail has been unwound.
+// trail has been unwound. internal/solver relies on this to refine a
+// first model into the lexicographically-minimal one, bit by bit, with
+// one assumption solve per bit.
 //
 // It plays the role STP/Z3 play inside KLEE for the paper: the backend that
 // decides path feasibility and produces counterexample models after the
 // bitvector layer (internal/bitblast) has reduced formulas to CNF.
 package sat
-
-import "sync/atomic"
 
 // Lit is a literal: variable index v (0-based) encoded as 2v for the
 // positive polarity and 2v+1 for the negative.
@@ -91,15 +91,14 @@ type Solver struct {
 	propags   int64
 	learned64 int64 // clauses learned over the solver's lifetime
 
-	model []lbool     // assignment captured at the last SAT answer
-	stop  atomic.Bool // cooperative abort flag, checked in the search loop
+	model []lbool // assignment captured at the last SAT answer
 
 	seen    []bool // scratch for conflict analysis
 	MaxConf int64  // optional conflict budget; 0 means unlimited
 }
 
 // Outcome is the three-valued result of an incremental solve: Unknown is
-// returned when the conflict budget ran out or Stop aborted the search.
+// returned when the conflict budget (MaxConf) ran out.
 type Outcome int8
 
 const (
@@ -139,15 +138,6 @@ func (s *Solver) Stats() (int64, int64, int64) { return s.decisions, s.propags, 
 // Learned returns the number of clauses learned over the solver's lifetime
 // (including those since removed by database reduction).
 func (s *Solver) Learned() int64 { return s.learned64 }
-
-// Stop asks a running solve to abandon search; it returns Unknown. The
-// flag is sticky — the owner clears it with ResetStop before the next
-// solve. Safe to call from another goroutine (the portfolio racer's
-// cancellation path).
-func (s *Solver) Stop() { s.stop.Store(true) }
-
-// ResetStop re-arms a solver whose previous search was cancelled.
-func (s *Solver) ResetStop() { s.stop.Store(false) }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
@@ -503,9 +493,8 @@ func (s *Solver) SolveAssuming(assumps ...Lit) bool { return s.SolveWith(assumps
 // SolveWith is the full-featured incremental entry point: it decides
 // satisfiability under assumps (each enqueued as a decision at its own
 // level, MiniSat-style) and reports Unknown when the conflict budget ran
-// out or Stop cancelled the search. The trail is always unwound to level 0
-// before returning; on Sat the model is captured first and stays readable
-// via Value.
+// out. The trail is always unwound to level 0 before returning; on Sat the
+// model is captured first and stays readable via Value.
 func (s *Solver) SolveWith(assumps []Lit) Outcome {
 	if s.unsat {
 		return Unsat
@@ -534,7 +523,7 @@ func (s *Solver) SolveWith(assumps []Lit) Outcome {
 			return Unsat
 		}
 		s.cancelUntil(0)
-		if s.stop.Load() || (s.MaxConf > 0 && s.conflicts >= s.MaxConf) {
+		if s.MaxConf > 0 && s.conflicts >= s.MaxConf {
 			return Unknown
 		}
 		restart++
@@ -546,9 +535,6 @@ func (s *Solver) SolveWith(assumps []Lit) Outcome {
 
 func (s *Solver) search(budget int64, assumps []Lit) lbool {
 	for n := int64(0); ; {
-		if s.stop.Load() {
-			return lUndef
-		}
 		confl := s.propagate()
 		if confl != nil {
 			s.conflicts++

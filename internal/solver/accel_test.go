@@ -104,26 +104,6 @@ func fullQuery(ctx *bv.Context, xn, yn string, sum uint64) []*bv.Expr {
 	}
 }
 
-func TestSessionReuseAcrossSiblingQueries(t *testing.T) {
-	ctx := bv.NewContext()
-	c := New(ctx)
-	c.Cfg.DisableMemo = true // isolate the session layer
-	base := fullQuery(ctx, "x", "y", 7)
-	if res := c.Check(base); !res.Sat {
-		t.Fatal("base query should be SAT")
-	}
-	// A sibling path shares the base conjuncts and adds one more; the
-	// session must reuse their circuits.
-	z := ctx.Var("z", 8)
-	ext := append(append([]*bv.Expr(nil), base...), ctx.Eq(ctx.Add(z, ctx.Var("x", 8)), ctx.Const(8, 9)))
-	if res := c.Check(ext); !res.Sat {
-		t.Fatal("extended query should be SAT")
-	}
-	if c.Stats.Accel.SessionReuseHits == 0 {
-		t.Fatalf("sibling query reused no circuits: %+v", c.Stats.Accel)
-	}
-}
-
 func TestMemoReplaysVerdictModelAndStats(t *testing.T) {
 	ctx := bv.NewContext()
 	c := New(ctx)
@@ -171,15 +151,14 @@ func TestSharedMemoTransfersAcrossRenaming(t *testing.T) {
 	}
 }
 
-// accelConfigs are the four meaningful acceleration modes.
+// accelConfigs are the two solver modes: memo on, and the compat path
+// where every full query is a fresh bit-blast.
 var accelConfigs = []struct {
 	name string
 	cfg  Config
 }{
-	{"full-accel", Config{}},
-	{"session-only", Config{DisablePortfolio: true}},
-	{"memo-only", Config{DisableSession: true}},
-	{"compat", Config{DisableSession: true, DisableMemo: true, DisablePortfolio: true}},
+	{"memo", Config{}},
+	{"compat", Config{DisableMemo: true}},
 }
 
 // randomConstraint builds one width-4 constraint over vars drawn from
@@ -211,10 +190,13 @@ func randomConstraint(ctx *bv.Context, r *rand.Rand, names []string) *bv.Expr {
 
 // TestAccelerationEquivalenceProperty is the tier-drift property test:
 // over random query sequences (with shared prefixes, like path-condition
-// stacks), every acceleration mode must produce the identical Result
-// sequence — verdict, quickness, witness — and identical comparable
-// stats; every SAT witness must satisfy bv.Eval on all conjuncts; and
-// every verdict must agree with enumeration ground truth.
+// stacks), both solver modes must produce the identical Result sequence —
+// verdict, quickness, witness — and identical comparable stats; every SAT
+// witness must satisfy bv.Eval on all conjuncts; every verdict must agree
+// with enumeration ground truth; and every full-tier witness must be the
+// lexicographic minimum over the canonical variable order (MSB-first),
+// found by enumeration. Report determinism rests on that last property:
+// it makes the witness a function of the formula, not of the solver.
 func TestAccelerationEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	names := []string{"a", "b", "c"}
@@ -263,6 +245,12 @@ func TestAccelerationEquivalenceProperty(t *testing.T) {
 					t.Fatalf("iter %d query %d mode %s: witness %v violates a conjunct (%s)",
 						iter, qi, mode.name, res.Model, dumpQuery(q))
 				}
+				if res.Sat && !res.Quick {
+					if lm := bruteLexMin(q); !reflect.DeepEqual(res.Model, lm) {
+						t.Fatalf("iter %d query %d mode %s: full-tier witness %v, lex-min %v (%s)",
+							iter, qi, mode.name, res.Model, lm, dumpQuery(q))
+					}
+				}
 			}
 		}
 		for ci := 1; ci < len(accelConfigs); ci++ {
@@ -295,6 +283,37 @@ func bruteSat(q []*bv.Expr, names []string) bool {
 		return false
 	}
 	return rec(0)
+}
+
+// bruteLexMin enumerates the assignments of q's non-constant conjuncts in
+// lexicographic order over the canonical variable order, MSB-first, and
+// returns the first that satisfies them all (nil when none does).
+func bruteLexMin(q []*bv.Expr) map[string]uint64 {
+	var live []*bv.Expr
+	for _, e := range q {
+		if !e.IsTrue() {
+			live = append(live, e)
+		}
+	}
+	cq := canonicalize(live, map[*bv.Expr]*localEnc{})
+	env := map[string]uint64{}
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(cq.varOrder) {
+			return evalAll(live, env)
+		}
+		for v := uint64(0); v <= bv.Mask(cq.widths[i]); v++ {
+			env[cq.varOrder[i]] = v
+			if rec(i + 1) {
+				return true
+			}
+		}
+		return false
+	}
+	if !rec(0) {
+		return nil
+	}
+	return env
 }
 
 func dumpQuery(q []*bv.Expr) string {

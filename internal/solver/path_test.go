@@ -140,7 +140,7 @@ func statsDelta(before, after Stats) Stats {
 // be equal at every node, in the default and the compatibility mode.
 func TestCheckPathMatchesCheckProperty(t *testing.T) {
 	var cov pathCoverage
-	modes := []Config{{}, {DisableSession: true, DisableMemo: true, DisablePortfolio: true}}
+	modes := []Config{{}, {DisableMemo: true}}
 	for iter := 0; iter < 400; iter++ {
 		for _, mode := range modes {
 			ctx := bv.NewContext()

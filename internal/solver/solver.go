@@ -12,8 +12,9 @@
 //  3. a normalized memo (memo.go) in front of the full tier only —
 //     repeated query shapes, modulo variable naming and conjunct order,
 //     replay their verdict, witness and stats without bit-blasting;
-//  4. bit-blasting to CNF and CDCL search (internal/bitblast, internal/sat),
-//     accelerated by incremental sessions and portfolio racing (accel.go).
+//  4. bit-blasting to CNF in a fresh solver and CDCL search
+//     (internal/bitblast, internal/sat), with the model refined into the
+//     canonical lexicographically-minimal witness (accel.go).
 //
 // The executor asks along execution paths (CheckPath, path.go): each path
 // condition extends its parent's by one conjunct, and the quick tiers
@@ -23,16 +24,15 @@
 //
 // This mirrors the role of the solver stack under KLEE in the paper, where
 // most path-feasibility queries are shallow and only assertion checks on
-// arithmetic-heavy paths need real search. All layers return identical
-// verdicts and witnesses (full-path models are canonically minimal, see
-// accel.go), so acceleration never changes a report byte.
+// arithmetic-heavy paths need real search. Memo on and off return
+// identical verdicts and witnesses (full-tier models are canonically
+// minimal, see accel.go), so the memo never changes a report byte.
 package solver
 
 import (
 	"time"
 
 	"p4assert/internal/bv"
-	"p4assert/internal/sat"
 )
 
 // Result reports the outcome of a satisfiability check.
@@ -42,13 +42,11 @@ type Result struct {
 	Quick bool              // answered without invoking the SAT solver
 }
 
-// Config controls the acceleration subsystem. The zero value enables
-// everything; each layer can be disabled independently (portfolio racing
-// additionally requires sessions, its session racer).
+// Config controls the acceleration subsystem. The zero value enables the
+// memo; DisableMemo sends every full query to a fresh bit-blast (the
+// compatibility path the memo is checked against).
 type Config struct {
-	DisableSession   bool
-	DisableMemo      bool
-	DisablePortfolio bool
+	DisableMemo bool
 }
 
 // Stats counts solver activity for the paper's instruction/
@@ -62,41 +60,41 @@ type Stats struct {
 	// full (layer 3) queries: SAT variables allocated and problem clauses
 	// emitted by bit-blasting the canonical conjuncts into an empty
 	// solver, measured before search so the counts are a deterministic
-	// function of the query formulas — identical whichever acceleration
-	// mode actually answered.
+	// function of the query formulas — identical whether a solve or a
+	// memo replay answered.
 	BitblastVars    int64
 	BitblastClauses int64
 	// Accel counts acceleration-subsystem activity. Unlike the counters
 	// above it is not a deterministic function of (program, options) —
-	// memo hits depend on cache state, portfolio winners and search
-	// effort on goroutine timing — so it is excluded from report JSON
-	// and surfaced through the non-comparable telemetry section instead.
+	// memo hits depend on cache state shared between parallel submodels,
+	// and search effort on which queries the memo answered — so it is
+	// excluded from report JSON and surfaced through the non-comparable
+	// telemetry section instead.
 	Accel AccelStats `json:"-"`
 }
 
 // AccelStats counts acceleration activity and raw SAT search effort.
 type AccelStats struct {
-	SessionReuseHits     int64 // conjunct circuits already live in the session
-	SessionEmitted       int64 // conjunct circuits newly emitted into the session
-	MemoHits             int64 // queries answered by the normalized memo
-	MemoSharedHits       int64 // subset of MemoHits served by the run-wide tier
-	PortfolioSessionWins int64 // full queries won by the incremental session
-	PortfolioFreshWins   int64 // full queries won by the fresh-blast racer
-	Decisions            int64
-	Propagations         int64
-	Conflicts            int64
-	LearnedClauses       int64
-	WallNS               int64 // wall time spent inside Check
+	MemoHits       int64 // queries answered by the normalized memo
+	MemoSharedHits int64 // subset of MemoHits served by the run-wide tier
+	Decisions      int64
+	Propagations   int64
+	Conflicts      int64
+	LearnedClauses int64
+	WallNS         int64 // wall time spent inside Check
+
+	// SessionReuseHits and PortfolioFreshWins are always zero: the
+	// incremental session and the portfolio race they counted are gone.
+	// They remain only because the benchmark's traced run still reads
+	// them as per-layer metrics.
+	SessionReuseHits   int64
+	PortfolioFreshWins int64
 }
 
 // Add folds o into a, for aggregation across parallel submodel runs.
 func (a *AccelStats) Add(o AccelStats) {
-	a.SessionReuseHits += o.SessionReuseHits
-	a.SessionEmitted += o.SessionEmitted
 	a.MemoHits += o.MemoHits
 	a.MemoSharedHits += o.MemoSharedHits
-	a.PortfolioSessionWins += o.PortfolioSessionWins
-	a.PortfolioFreshWins += o.PortfolioFreshWins
 	a.Decisions += o.Decisions
 	a.Propagations += o.Propagations
 	a.Conflicts += o.Conflicts
@@ -105,16 +103,15 @@ func (a *AccelStats) Add(o AccelStats) {
 }
 
 // Checker decides constraint sets built in a single bv.Context. The zero
-// value is ready to use with full acceleration. A Checker is not safe for
-// concurrent use; parallel submodel executions each own one (optionally
-// linked through a Shared memo, which is concurrency-safe).
+// value is ready to use, memo on. A Checker is not safe for concurrent
+// use; parallel submodel executions each own one (optionally linked
+// through a Shared memo, which is concurrency-safe).
 type Checker struct {
 	Ctx    *bv.Context
 	Stats  Stats
 	Cfg    Config
 	Shared *Memo // optional run-wide memo tier behind the private one
 
-	sess     *session
 	local    *Memo
 	encCache map[*bv.Expr]*localEnc
 
@@ -122,11 +119,6 @@ type Checker struct {
 	eval     bv.Evaluator
 	varCache map[*bv.Expr][]string
 	bindings []binding
-
-	// Session solver counters at the last harvest, so per-query growth
-	// can be folded into Stats.Accel.
-	lastSessDecisions, lastSessPropagations int64
-	lastSessConflicts, lastSessLearned      int64
 }
 
 // New returns a Checker for expressions created in ctx.
@@ -186,44 +178,25 @@ func (c *Checker) quickSAT(model map[string]uint64) Result {
 	return Result{Sat: true, Model: model, Quick: true}
 }
 
-// full decides live (no constant conjuncts) with layer 3: full
-// bit-blasting, accelerated (accel.go), behind the normalized memo.
+// full decides live (no constant conjuncts) with layer 3, a fresh
+// bit-blast (accel.go), behind the normalized memo. A memo hit replays
+// the solve's verdict, witness (through the variable bijection) and
+// comparable stats delta exactly.
 func (c *Checker) full(live []*bv.Expr) Result {
 	if c.encCache == nil {
 		c.encCache = map[*bv.Expr]*localEnc{}
 	}
 	cq := canonicalize(live, c.encCache)
+	var e *memoEntry
 	if !c.Cfg.DisableMemo {
-		if e := c.memoGet(cq.key); e != nil {
-			return c.replay(cq, e)
-		}
+		e = c.memoGet(cq.key)
 	}
-	c.Stats.FullQueries++
-	ans, vars, clauses := c.solveFull(cq)
-	c.Stats.BitblastVars += vars
-	c.Stats.BitblastClauses += clauses
-	if ans.outcome != sat.Sat {
-		c.memoPut(cq, &memoEntry{vars: vars, clauses: clauses})
-		return Result{Sat: false}
+	if e != nil {
+		c.Stats.Accel.MemoHits++
+	} else {
+		e = c.solveFull(cq)
+		c.memoPut(cq, e)
 	}
-	c.memoPut(cq, &memoEntry{sat: true, model: canonValues(cq, ans.model), vars: vars, clauses: clauses})
-	return Result{Sat: true, Model: ans.model}
-}
-
-// canonValues projects a model onto the canonical variable order.
-func canonValues(cq *canonQuery, m map[string]uint64) []uint64 {
-	vals := make([]uint64, len(cq.varOrder))
-	for i, name := range cq.varOrder {
-		vals[i] = m[name]
-	}
-	return vals
-}
-
-// replay reproduces a memoized full-tier outcome: the same Result the
-// solve returned (model transferred through the variable bijection) and
-// the same comparable stats delta.
-func (c *Checker) replay(cq *canonQuery, e *memoEntry) Result {
-	c.Stats.Accel.MemoHits++
 	c.Stats.FullQueries++
 	c.Stats.BitblastVars += e.vars
 	c.Stats.BitblastClauses += e.clauses
